@@ -837,43 +837,33 @@ impl CompileService {
 
     /// Post-batch persistence: append every not-yet-persisted loop
     /// record, facts provenance, and cacheable cold result to the tier
-    /// logs, then compact any log past its byte bound. Read-only stores
-    /// skip all of it.
+    /// logs, then compact any log past its trigger. Only new records
+    /// are serialized; the full snapshot is rendered only for a tier
+    /// that actually compacts. Read-only stores skip all of it.
     fn persist_after_batch(&self, batch: &[SuiteRequest], keys: &[u64], outcomes: &[SuiteOutcome]) {
         let Some(store) = &self.store else { return };
         if store.read_only_reason().is_some() {
             return;
         }
 
-        let loop_records: Vec<(u64, Json)> = self
+        let loops: Vec<(u64, Arc<SplicedLoop>)> = self
             .facts
             .loop_snapshot()
             .into_iter()
-            .filter_map(|(k, rec)| {
-                let s = rec.downcast::<SplicedLoop>().ok()?;
-                Some((k, Json::Obj(vec![
-                    ("k", Json::Str(k.to_string())),
-                    ("rec", s.to_json()),
-                ])))
-            })
+            .filter_map(|(k, rec)| Some((k, rec.downcast::<SplicedLoop>().ok()?)))
             .collect();
-        let new_loops: Vec<Json> = loop_records
+        let new_loops: Vec<(u64, Json)> = loops
             .iter()
             .filter(|(k, _)| store.mark_seen(Tier::Loops, *k))
-            .map(|(_, p)| p.clone())
+            .map(|(k, s)| (*k, loop_payload(*k, s)))
             .collect();
         store.append(Tier::Loops, &new_loops);
 
-        let facts_records: Vec<(u64, Json)> = self
-            .facts
-            .facts_snapshot()
-            .into_iter()
-            .map(|(k, prov)| (k, facts_payload(k, &prov)))
-            .collect();
-        let new_facts: Vec<Json> = facts_records
+        let facts = self.facts.facts_snapshot();
+        let new_facts: Vec<(u64, Json)> = facts
             .iter()
             .filter(|(k, _)| store.mark_seen(Tier::Facts, *k))
-            .map(|(_, p)| p.clone())
+            .map(|(k, prov)| (*k, facts_payload(*k, prov)))
             .collect();
         store.append(Tier::Facts, &new_facts);
 
@@ -889,15 +879,19 @@ impl CompileService {
             }
             let payload = result_payload(keys[i], pid, &o.name, &batch[i].source, &sig);
             self.retain_result_record(keys[i], payload.clone());
-            new_results.push(payload);
+            new_results.push((keys[i], payload));
         }
         store.append(Tier::Results, &new_results);
 
         if store.wants_compaction(Tier::Loops) {
-            store.compact(Tier::Loops, &loop_records);
+            let all: Vec<(u64, Json)> =
+                loops.iter().map(|(k, s)| (*k, loop_payload(*k, s))).collect();
+            store.compact(Tier::Loops, &all);
         }
         if store.wants_compaction(Tier::Facts) {
-            store.compact(Tier::Facts, &facts_records);
+            let all: Vec<(u64, Json)> =
+                facts.iter().map(|(k, p)| (*k, facts_payload(*k, p))).collect();
+            store.compact(Tier::Facts, &all);
         }
         if store.wants_compaction(Tier::Results) {
             let kept = self
@@ -1350,6 +1344,12 @@ impl CompileService {
         });
         (Arc::new(art), t.elapsed().as_secs_f64())
     }
+}
+
+/// Loop-tier record payload: the content key and the serialized
+/// [`SplicedLoop`].
+fn loop_payload(key: u64, rec: &SplicedLoop) -> Json {
+    Json::Obj(vec![("k", Json::Str(key.to_string())), ("rec", rec.to_json())])
 }
 
 /// Facts-tier record payload: build provenance, not build output —

@@ -212,11 +212,18 @@ pub struct PersistentStore {
     lock_owned: bool,
     faults: Option<StoreFaults>,
     fault_ctr: AtomicU64,
-    /// Compaction triggers when a tier log exceeds this many bytes.
+    /// Compaction floor: a tier log never compacts below this size.
     compact_bytes: u64,
+    /// Bytes each tier's last successful compaction wrote. A log
+    /// compacts again only once it has doubled past that snapshot, so
+    /// a live set larger than `compact_bytes` does not re-trigger on
+    /// every append. Zero until the first compaction (open and
+    /// recovery never set it).
+    compacted_len: [AtomicU64; 3],
     /// Keys already persisted per tier, so the post-batch append pass
     /// only writes news. Advisory (duplicates on disk are deduped by
-    /// recovery anyway); reset by compaction to the snapshot's keys.
+    /// recovery anyway); reset by compaction to the snapshot's keys,
+    /// and cleared of a failed append's keys.
     seen: Mutex<[HashSet<u64>; 3]>,
     recovered: [AtomicU64; 3],
     refused_framing: AtomicU64,
@@ -263,6 +270,7 @@ impl PersistentStore {
             faults,
             fault_ctr: AtomicU64::new(0),
             compact_bytes: 1 << 20,
+            compacted_len: [AtomicU64::new(0), AtomicU64::new(0), AtomicU64::new(0)],
             seen: Mutex::new([HashSet::new(), HashSet::new(), HashSet::new()]),
             recovered: [AtomicU64::new(0), AtomicU64::new(0), AtomicU64::new(0)],
             refused_framing: AtomicU64::new(0),
@@ -277,8 +285,8 @@ impl PersistentStore {
         }
     }
 
-    /// Lowers the compaction threshold (tests exercise compaction
-    /// without megabytes of records).
+    /// Lowers the compaction floor (tests exercise compaction without
+    /// megabytes of records).
     pub fn with_compact_bytes(mut self, bytes: u64) -> Self {
         self.compact_bytes = bytes.max(64);
         self
@@ -311,6 +319,15 @@ impl PersistentStore {
     /// (i.e. the caller should append its record).
     pub fn mark_seen(&self, tier: Tier, key: u64) -> bool {
         self.seen.lock().unwrap_or_else(|p| p.into_inner())[tier_ix(tier)].insert(key)
+    }
+
+    /// Forgets `records`' keys for `tier`, so the next append pass
+    /// writes them again.
+    fn unmark_seen(&self, tier: Tier, records: &[(u64, Json)]) {
+        let mut seen = self.seen.lock().unwrap_or_else(|p| p.into_inner());
+        for (k, _) in records {
+            seen[tier_ix(tier)].remove(k);
+        }
     }
 
     /// Replaces `tier`'s persisted-key set (after a compaction rewrote
@@ -424,26 +441,37 @@ impl PersistentStore {
         }
     }
 
-    /// Frames and appends `payloads` to `tier`'s log (writing the file
-    /// header first when the log is new). No-op when read-only. I/O
-    /// failures — injected or real — count `append_errors`; a short
-    /// write may leave a torn record, which recovery tolerates.
-    pub fn append(&self, tier: Tier, payloads: &[Json]) {
-        if payloads.is_empty() || self.read_only.is_some() {
+    /// Frames and appends `(key, payload)` records to `tier`'s log
+    /// (writing the file header first when the log is new). No-op when
+    /// read-only. I/O failures — injected or real — count
+    /// `append_errors` and forget the records' keys (see
+    /// [`PersistentStore::mark_seen`]), so the next append pass writes
+    /// them again; a short write may leave a torn record, which
+    /// recovery tolerates.
+    pub fn append(&self, tier: Tier, records: &[(u64, Json)]) {
+        if records.is_empty() || self.read_only.is_some() {
             return;
         }
+        if !self.append_frames(tier, records) {
+            self.append_errors.fetch_add(1, Ordering::Relaxed);
+            self.unmark_seen(tier, records);
+        }
+    }
+
+    /// The write half of [`PersistentStore::append`]: true when every
+    /// record landed and flushed.
+    fn append_frames(&self, tier: Tier, records: &[(u64, Json)]) -> bool {
         let path = self.tier_path(tier);
         let need_header = fs::metadata(&path).map(|m| m.len() == 0).unwrap_or(true);
         let mut buf = Vec::new();
         if need_header {
             buf.extend_from_slice(FILE_MAGIC);
         }
-        for p in payloads {
+        for (_, p) in records {
             frame_into(&mut buf, p);
         }
         if self.fault(|f| f.write_fail_1_in) {
-            self.append_errors.fetch_add(1, Ordering::Relaxed);
-            return;
+            return false;
         }
         if self.fault(|f| f.short_write_1_in) {
             // Torn write: a seeded prefix lands, then "the power fails".
@@ -451,27 +479,23 @@ impl PersistentStore {
             let cut = (splitmix64(n ^ 0xDEAD_BEEF) % buf.len() as u64) as usize;
             buf.truncate(cut);
             let _ = append_bytes(&path, &buf);
-            self.append_errors.fetch_add(1, Ordering::Relaxed);
-            return;
+            return false;
         }
-        match append_bytes(&path, &buf) {
-            Ok(mut f) => {
-                if self.fault(|f| f.flush_fail_1_in) || f.flush().is_err() {
-                    self.append_errors.fetch_add(1, Ordering::Relaxed);
-                } else {
-                    self.appended
-                        .fetch_add(payloads.len() as u64, Ordering::Relaxed);
-                }
-            }
-            Err(_) => {
-                self.append_errors.fetch_add(1, Ordering::Relaxed);
-            }
+        let Ok(mut f) = append_bytes(&path, &buf) else { return false };
+        if self.fault(|f| f.flush_fail_1_in) || f.flush().is_err() {
+            return false;
         }
+        self.appended.fetch_add(records.len() as u64, Ordering::Relaxed);
+        true
     }
 
-    /// True when `tier`'s log has outgrown the compaction threshold.
+    /// True when `tier`'s log is past the compaction floor and past
+    /// twice the bytes its last compaction wrote. The doubling keeps
+    /// the log within twice the live snapshot (plus one batch) and
+    /// makes the rewrite cost amortized O(1) per appended byte.
     pub fn wants_compaction(&self, tier: Tier) -> bool {
-        self.read_only.is_none() && self.file_len(tier) > self.compact_bytes
+        let last = self.compacted_len[tier_ix(tier)].load(Ordering::Relaxed);
+        self.read_only.is_none() && self.file_len(tier) > self.compact_bytes.max(2 * last)
     }
 
     /// Rewrites `tier`'s log as a fresh snapshot of `(key, payload)`
@@ -503,6 +527,7 @@ impl PersistentStore {
         match fs::rename(&tmp, &path) {
             Ok(()) => {
                 self.compactions.fetch_add(1, Ordering::Relaxed);
+                self.compacted_len[tier_ix(tier)].store(buf.len() as u64, Ordering::Relaxed);
                 self.reset_seen(tier, records.iter().map(|&(k, _)| k));
             }
             Err(_) => {
@@ -699,13 +724,17 @@ mod tests {
         Json::Obj(vec![("i", Json::Int(i)), ("tag", Json::Str("rec".into()))])
     }
 
+    fn rec(i: i64) -> (u64, Json) {
+        (i as u64, payload(i))
+    }
+
     #[test]
     fn append_then_load_round_trips() {
         let dir = tmp_dir("roundtrip");
         let store = PersistentStore::open(&dir);
         assert!(store.read_only_reason().is_none());
-        store.append(Tier::Loops, &[payload(1), payload(2)]);
-        store.append(Tier::Loops, &[payload(3)]);
+        store.append(Tier::Loops, &[rec(1), rec(2)]);
+        store.append(Tier::Loops, &[rec(3)]);
         let loaded = store.load();
         assert_eq!(loaded.loops.len(), 3);
         assert_eq!(loaded.loops[2].get("i").and_then(JVal::as_i64), Some(3));
@@ -719,7 +748,7 @@ mod tests {
     fn torn_tail_costs_exactly_one_refusal_and_keeps_the_rest() {
         let dir = tmp_dir("torn");
         let store = PersistentStore::open(&dir);
-        store.append(Tier::Results, &[payload(1), payload(2)]);
+        store.append(Tier::Results, &[rec(1), rec(2)]);
         let path = dir.join("results.log");
         let bytes = fs::read(&path).unwrap();
         fs::write(&path, &bytes[..bytes.len() - 5]).unwrap();
@@ -736,7 +765,7 @@ mod tests {
     fn bit_flip_is_caught_by_crc_and_skipped() {
         let dir = tmp_dir("flip");
         let store = PersistentStore::open(&dir);
-        store.append(Tier::Facts, &[payload(1), payload(2), payload(3)]);
+        store.append(Tier::Facts, &[rec(1), rec(2), rec(3)]);
         let path = dir.join("facts.log");
         let mut bytes = fs::read(&path).unwrap();
         // Flip one payload byte of the middle record (past header +
@@ -760,7 +789,7 @@ mod tests {
     fn wrong_version_header_refuses_the_whole_file_once() {
         let dir = tmp_dir("version");
         let store = PersistentStore::open(&dir);
-        store.append(Tier::Loops, &[payload(1)]);
+        store.append(Tier::Loops, &[rec(1)]);
         let path = dir.join("loops.log");
         let mut bytes = fs::read(&path).unwrap();
         bytes[7] = b'9'; // APST0001 -> APST0009
@@ -778,7 +807,7 @@ mod tests {
         let store = PersistentStore::open(&dir).with_compact_bytes(64);
         for i in 0..10 {
             assert!(store.mark_seen(Tier::Results, i));
-            store.append(Tier::Results, &[payload(i as i64)]);
+            store.append(Tier::Results, &[rec(i as i64)]);
         }
         assert!(store.wants_compaction(Tier::Results));
         store.compact(Tier::Results, &[(7, payload(7))]);
@@ -792,15 +821,57 @@ mod tests {
     }
 
     #[test]
+    fn compaction_retriggers_only_after_the_log_doubles() {
+        let dir = tmp_dir("doubling");
+        let store = PersistentStore::open(&dir).with_compact_bytes(64);
+        let snapshot: Vec<(u64, Json)> = (0..10).map(rec).collect();
+        store.compact(Tier::Loops, &snapshot);
+        let live = store.file_len(Tier::Loops);
+        assert!(live > 64, "the snapshot outgrows the floor: {live}");
+        assert!(
+            !store.wants_compaction(Tier::Loops),
+            "a fresh snapshot above the floor must not re-trigger"
+        );
+        let mut i = 10;
+        while store.file_len(Tier::Loops) <= 2 * live {
+            let len = store.file_len(Tier::Loops);
+            assert!(!store.wants_compaction(Tier::Loops), "at {len} bytes");
+            store.append(Tier::Loops, &[rec(i)]);
+            i += 1;
+        }
+        assert!(store.wants_compaction(Tier::Loops), "doubled past {live}");
+        drop(store);
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn failed_append_forgets_its_keys_for_the_next_pass() {
+        let dir = tmp_dir("rollback");
+        let store = PersistentStore::open_with_faults(
+            &dir,
+            StoreFaults { write_fail_1_in: 1, ..StoreFaults::default() },
+        );
+        assert!(store.mark_seen(Tier::Loops, 9));
+        assert!(store.mark_seen(Tier::Loops, 5));
+        store.append(Tier::Loops, &[rec(5)]);
+        let s = store.stats();
+        assert_eq!((s.append_errors, s.appended_records), (1, 0), "{s:?}");
+        assert!(store.mark_seen(Tier::Loops, 5), "the failed record is due again");
+        assert!(!store.mark_seen(Tier::Loops, 9), "keys outside the batch stay marked");
+        drop(store);
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    #[test]
     fn second_opener_degrades_to_read_only_until_first_drops() {
         let dir = tmp_dir("lock");
         let a = PersistentStore::open(&dir);
         assert!(a.read_only_reason().is_none());
-        a.append(Tier::Loops, &[payload(1)]);
+        a.append(Tier::Loops, &[rec(1)]);
         let b = PersistentStore::open(&dir);
         let reason = b.read_only_reason().expect("b must be read-only").to_string();
         assert!(reason.contains("locked by live writer"), "{}", reason);
-        b.append(Tier::Loops, &[payload(2)]); // silently skipped
+        b.append(Tier::Loops, &[rec(2)]); // silently skipped
         assert_eq!(b.load().loops.len(), 1, "read-only opener still recovers");
         drop(b);
         drop(a);
@@ -824,7 +895,7 @@ mod tests {
             },
         );
         for i in 0..40 {
-            store.append(Tier::Loops, &[payload(i)]);
+            store.append(Tier::Loops, &[rec(i)]);
         }
         let s = store.stats();
         assert!(s.append_errors > 0, "faults fired");
@@ -847,7 +918,7 @@ mod tests {
         let store = PersistentStore::open(&path);
         let reason = store.read_only_reason().expect("degraded").to_string();
         assert!(reason.contains("cannot create store directory"), "{}", reason);
-        store.append(Tier::Facts, &[payload(1)]); // no-op, no panic
+        store.append(Tier::Facts, &[rec(1)]); // no-op, no panic
         assert_eq!(store.stats().store_bytes, 0);
         drop(store);
         let _ = fs::remove_dir_all(&dir);

@@ -11,7 +11,7 @@ use std::fs;
 use std::io::{BufRead, BufReader, Write};
 use std::path::{Path, PathBuf};
 
-use apar_service::{CompileService, Served, ServiceConfig, SuiteRequest};
+use apar_service::{CompileService, PersistentStore, Served, ServiceConfig, SuiteRequest};
 
 /// A fresh scratch directory per test (removed up front so a crashed
 /// prior run can't leak state in).
@@ -379,4 +379,147 @@ fn cli_store_flag_round_trips_and_degrades_gracefully() {
     let _ = fs::remove_dir_all(&dir);
     let _ = fs::remove_dir_all(&suite_dir);
     let _ = fs::remove_file(&blocked);
+}
+
+/// A program whose only edit site is `S = <value>` in the main unit.
+/// The main loop reads `S`, so each edit re-analyzes it (a new loop
+/// record and a new facts record); the subroutine loops' key closures
+/// never see the edit, so they splice.
+fn edited(value: usize) -> SuiteRequest {
+    let src = format!(
+        "\
+PROGRAM EDITS
+REAL A(100), B(100), C(100)
+S = {value}.5
+DO I = 1, 100
+A(I) = A(I) + S
+ENDDO
+CALL FILLB(B)
+CALL SCALEC(C)
+END
+SUBROUTINE FILLB(X)
+REAL X(100)
+DO I = 1, 100
+CALL SETB(X, I)
+ENDDO
+END
+SUBROUTINE SETB(X, K)
+REAL X(100)
+X(K) = K * 2.0
+END
+SUBROUTINE SCALEC(X)
+REAL X(100)
+DO I = 1, 100
+X(I) = X(I) * 3.0
+ENDDO
+END
+"
+    );
+    SuiteRequest::new("edits", src)
+}
+
+/// Drives `EDITS` value edits through a service whose store compacts
+/// above 256 bytes, repeating the previous request after every edit.
+/// Asserts each repeat is a cache hit that writes nothing, and returns
+/// the service with the edit count.
+fn edit_stream(dir: &Path, edits: usize) -> CompileService {
+    let svc = service(2).attach_store(PersistentStore::open(dir).with_compact_bytes(256));
+    let (mut loop_hits, mut loop_refusals) = (0, 0);
+    for v in 0..edits {
+        let b = svc.compile_many(&[edited(v)]);
+        assert_eq!(b.outcomes[0].served, Served::Cold, "edit {v}");
+        assert!(b.stats.store.appended_records > 0, "edit {v}: {:?}", b.stats.store);
+        loop_hits += b.stats.facts.loop_hits;
+        loop_refusals += b.stats.facts.loop_refusals;
+
+        let hit = svc.compile_many(&[edited(v)]);
+        assert_eq!(hit.outcomes[0].served, Served::CacheHit, "repeat {v}");
+        let s = hit.stats.store;
+        assert_eq!(s.appended_records, 0, "a cache hit has nothing new: {s:?}");
+        assert_eq!(s.compactions, 0, "a cache hit must not rewrite the store: {s:?}");
+    }
+    assert!(loop_hits > 0, "value edits must splice the untouched loops");
+    assert_eq!(loop_refusals, 0, "value edits never refuse a splice");
+    assert_eq!(svc.store_stats().append_errors, 0);
+    svc
+}
+
+#[test]
+fn hit_batches_write_nothing_and_compactions_stay_logarithmic() {
+    let dir = scratch("amortized");
+    let edits = 50;
+    let svc = edit_stream(&dir, edits);
+    let s = svc.store_stats();
+    assert!(s.compactions >= 1, "the 256-byte floor was crossed: {s:?}");
+    // Nothing is evicted at this size, so a compaction rewrites every
+    // byte on disk, and a tier compacts again only past twice its last
+    // snapshot: its k-th snapshot exceeds 256 * 2^(k-1) bytes. A store
+    // of B bytes has therefore compacted at most log2(B / 256) + 1
+    // times per tier, however many requests wrote it.
+    let per_tier = (s.store_bytes as f64 / 256.0).log2().floor() as u64 + 1;
+    assert!(
+        s.compactions <= 3 * per_tier,
+        "{} compactions for {} bytes over {} edits",
+        s.compactions,
+        s.store_bytes,
+        edits
+    );
+    drop(svc);
+    let _ = fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn warm_restart_after_amortized_compactions_recovers_the_live_loop_set() {
+    let dir = scratch("amortized_restart");
+    let svc = edit_stream(&dir, 50);
+    assert!(svc.store_stats().compactions >= 1);
+    let live_loops = svc.facts_store().loop_snapshot().len() as u64;
+    drop(svc);
+
+    let svc = service(2).with_store(&dir);
+    let s = svc.store_stats();
+    assert_eq!(s.recovered_loops, live_loops, "{s:?}");
+    assert_eq!(s.recovery_refusals, 0, "{s:?}");
+    let b = svc.compile_many(&[edited(1000)]);
+    assert_eq!(b.outcomes[0].served, Served::Cold);
+    assert!(b.stats.facts.loop_hits > 0, "recovered records splice: {:?}", b.stats.facts);
+    drop(svc);
+    let _ = fs::remove_dir_all(&dir);
+}
+
+/// A batch whose appends fail must leave its records due: the next
+/// batch appends them, and a restart recovers them.
+#[test]
+fn failed_append_is_retried_by_the_next_batch() {
+    let dir = scratch("append_retry");
+    let svc = service(2).with_store(&dir);
+    // A directory where each tier log should be: every append of the
+    // first batch fails with a real I/O error.
+    let logs = ["loops.log", "facts.log", "results.log"].map(|f| dir.join(f));
+    for log in &logs {
+        fs::create_dir(log).expect("block a tier log");
+    }
+    let first = svc.compile_many(&suites());
+    let s = first.stats.store;
+    assert_eq!((s.appended_records, s.append_errors), (0, 3), "{s:?}");
+    for log in &logs {
+        fs::remove_dir(log).expect("unblock a tier log");
+    }
+
+    let live_loops = svc.facts_store().loop_snapshot().len() as u64;
+    let live_facts = svc.facts_store().facts_snapshot().len() as u64;
+    let second = svc.compile_many(&suites());
+    assert!(second.outcomes.iter().all(|o| o.served == Served::CacheHit));
+    let s = second.stats.store;
+    assert_eq!(s.appended_records, live_loops + live_facts, "{s:?}");
+    assert_eq!(s.append_errors, 0, "{s:?}");
+    drop(svc);
+
+    let svc = service(2).with_store(&dir);
+    let s = svc.store_stats();
+    assert_eq!(s.recovered_loops, live_loops, "{s:?}");
+    assert_eq!(s.recovered_facts, live_facts, "{s:?}");
+    assert_eq!(s.recovery_refusals, 0, "{s:?}");
+    drop(svc);
+    let _ = fs::remove_dir_all(&dir);
 }
